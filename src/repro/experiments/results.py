@@ -99,7 +99,14 @@ class RunResult:
         return (self.fairness_game_bps - self.fairness_iperf_bps) / self.capacity_bps
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
+    def to_dict(self, *, lists: bool = True) -> dict:
+        """Every field plus the derived summaries, JSON-ready.
+
+        With ``lists=False`` the array fields stay numpy arrays, for
+        writers that store them natively (see
+        :meth:`repro.store.runstore.RunStore.put`).
+        """
+        array = np.ndarray.tolist if lists else np.asarray
         # Derived summaries are computed exactly once per serialisation.
         rtt_summary = self.rtt_summary()
         fairness_ratio = self.fairness_ratio
@@ -110,20 +117,20 @@ class RunResult:
             "queue_mult": self.queue_mult,
             "seed": self.seed,
             "timeline_scale": self.timeline_scale,
-            "times": self.times.tolist(),
-            "game_bps": self.game_bps.tolist(),
-            "iperf_bps": self.iperf_bps.tolist(),
+            "times": array(self.times),
+            "game_bps": array(self.game_bps),
+            "iperf_bps": array(self.iperf_bps),
             "baseline_bps": self.baseline_bps,
             "fairness_game_bps": self.fairness_game_bps,
             "fairness_iperf_bps": self.fairness_iperf_bps,
             "solo_bps": self.solo_bps,
-            "rtt_samples": self.rtt_samples.tolist(),
+            "rtt_samples": array(self.rtt_samples),
             "game_loss_rate": self.game_loss_rate,
             "displayed_fps_contention": self.displayed_fps_contention,
             "displayed_fps_solo": self.displayed_fps_solo,
             "frames_displayed": self.frames_displayed,
             "frames_dropped": self.frames_dropped,
-            "target_log": self.target_log.tolist(),
+            "target_log": array(self.target_log),
             "qdisc": self.qdisc,
             "wall_time_s": self.wall_time_s,
             "profile": self.profile,

@@ -9,6 +9,7 @@ minutes, then collect all measurements into a
 
 from __future__ import annotations
 
+import gc
 from time import perf_counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.experiments.results import RunResult
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.profiler import SimProfiler
 from repro.obs.trace import Tracer
+from repro.testbed.capture import binned_bitrate, window_throughput
 from repro.testbed.tc import RouterConfig
 from repro.testbed.topology import IPERF_FLOW, GameStreamingTestbed
 
@@ -109,14 +111,62 @@ def _execute(
     router: RouterConfig | None = None,
     profile=None,
 ) -> RunResult:
-    """Build the testbed, run the timeline, collect the result.
+    """Simulate one run as its own garbage-collection scope.
 
-    The cache-bypass core of :func:`run_single`.  ``router`` and
-    ``profile`` allow a multi-seed batch to construct the immutable
-    topology inputs once and share them across seeds -- they are pure
-    functions of the config's condition fields, so sharing cannot
-    change any measurement.
+    The cache-bypass core of :func:`run_single`, shared by multi-seed
+    batches, the campaign scheduler and distributed workers.
+    ``router`` and ``profile`` allow a multi-seed batch to construct the
+    immutable topology inputs once and share them across seeds -- they
+    are pure functions of the config's condition fields, so sharing
+    cannot change any measurement.
+
+    A finished testbed is one large reference cycle (the closed-loop
+    data path, and every stage's recycled timer event), so reference
+    counting alone never frees it.  The cyclic collector stays off from
+    testbed construction through result collection; nothing the run
+    allocates is promoted out of generation 0, so once the testbed is
+    dropped a single generation-0 collection frees all of it without
+    walking the long-lived heap.  That collection is charged to the
+    run's ``wall_time_s``.  The caller's collector state is restored on
+    every exit path, and a :class:`RunTimeout` leaves without the
+    event-loop frames of its traceback so the aborted testbed is
+    reclaimed too.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = _simulate(
+            config, tracer, metrics, sim_profiler, timeout_s, max_events,
+            wall_start, router, profile,
+        )
+    except RunTimeout as exc:
+        # The traceback's event-loop frames hold the aborted testbed;
+        # drop them so the collection below can reclaim it.
+        raise exc.with_traceback(None)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+            gc.collect(0)
+    result.wall_time_s = perf_counter() - wall_start
+    if sim_profiler is not None:
+        result.profile = sim_profiler.summary()
+    if store is not None:
+        store.put(config, result)
+    return result
+
+
+def _simulate(
+    config: RunConfig,
+    tracer: Tracer | None,
+    metrics: MetricsRecorder | None,
+    sim_profiler: SimProfiler | None,
+    timeout_s: float | None,
+    max_events: int | None,
+    wall_start: float,
+    router: RouterConfig | None,
+    profile,
+) -> RunResult:
+    """Build the testbed, run the timeline, collect the result."""
     timeline = config.timeline
     if router is None:
         router = RouterConfig(
@@ -164,14 +214,7 @@ def _execute(
             events=testbed.sim.events_processed,
             frames=testbed.server.frames_sent,
         )
-
-    result = _collect(config, testbed)
-    result.wall_time_s = perf_counter() - wall_start
-    if sim_profiler is not None:
-        result.profile = sim_profiler.summary()
-    if store is not None:
-        store.put(config, result)
-    return result
+    return _collect(config, testbed)
 
 
 def _install_deadline_guard(
@@ -204,13 +247,11 @@ def _install_deadline_guard(
 
 def _collect(config: RunConfig, testbed: GameStreamingTestbed) -> RunResult:
     timeline = config.timeline
-    game_flow = testbed.game_flow
-    times, game_bps = testbed.capture.bitrate_series(
-        game_flow, 0.0, timeline.end, timeline.bin_width
-    )
-    _, iperf_bps = testbed.capture.bitrate_series(
-        IPERF_FLOW, 0.0, timeline.end, timeline.bin_width
-    )
+    # Each flow's per-packet records are converted to arrays once.
+    game = testbed.capture.arrays(testbed.game_flow)
+    iperf = testbed.capture.arrays(IPERF_FLOW)
+    times, game_bps = binned_bitrate(*game, 0.0, timeline.end, timeline.bin_width)
+    _, iperf_bps = binned_bitrate(*iperf, 0.0, timeline.end, timeline.bin_width)
 
     baseline_lo, baseline_hi = timeline.baseline_window
     fair_lo, fair_hi = timeline.fairness_window
@@ -228,10 +269,10 @@ def _collect(config: RunConfig, testbed: GameStreamingTestbed) -> RunResult:
         times=times,
         game_bps=game_bps,
         iperf_bps=iperf_bps,
-        baseline_bps=testbed.capture.throughput_bps(game_flow, baseline_lo, baseline_hi),
-        fairness_game_bps=testbed.capture.throughput_bps(game_flow, fair_lo, fair_hi),
-        fairness_iperf_bps=testbed.capture.throughput_bps(IPERF_FLOW, fair_lo, fair_hi),
-        solo_bps=testbed.capture.throughput_bps(game_flow, solo_lo, solo_hi),
+        baseline_bps=window_throughput(*game, baseline_lo, baseline_hi),
+        fairness_game_bps=window_throughput(*game, fair_lo, fair_hi),
+        fairness_iperf_bps=window_throughput(*iperf, fair_lo, fair_hi),
+        solo_bps=window_throughput(*game, solo_lo, solo_hi),
         rtt_samples=np.asarray(testbed.prober.samples).reshape(-1, 2),
         game_loss_rate=testbed.game_loss_rate(),
         displayed_fps_contention=client.displayed_fps(cont_lo, cont_hi),

@@ -372,12 +372,20 @@ class Simulator:
         relative to the requested horizon.
 
         The cyclic garbage collector is suspended for the duration of
-        the dispatch: the per-packet objects (packets, metadata, ledger
-        entries, heap tuples) are reference-counted and acyclic, so
-        generation-0 scans triggered every ~700 allocations find nothing
-        to free and only add latency.  The few genuine cycles (a stage's
-        self-referencing timer event) are per-component singletons that
-        the re-enabled collector reaps after the run.
+        the dispatch, and the caller's collector state is restored on
+        exit, also when a callback raises.  The per-packet objects
+        (packets, metadata, ledger entries, heap tuples) are
+        reference-counted and acyclic, so generation-0 scans triggered
+        every ~700 allocations find nothing to free and only add
+        latency.  The simulated topology itself is cyclic (the
+        closed-loop data path, and every stage's recycled timer event
+        points back at its stage), so a finished simulation is only
+        freed by a collection.  Re-enabling the collector does not
+        trigger one: by the time the objects are dead they have usually
+        been promoted to the oldest generation.  Callers that run many
+        simulations reclaim each one explicitly, as
+        :func:`repro.experiments.runner.run_single` does; inside its
+        run-scoped suspension this one nests as a no-op.
         """
         if until is not None and until < self.now:
             raise SimulationError(

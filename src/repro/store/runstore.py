@@ -115,8 +115,8 @@ class RunStore:
         obj = self._object_dir(fp)
         obj.mkdir(parents=True, exist_ok=True)
 
-        data = result.to_dict()
-        arrays = {name: np.asarray(data.pop(name)) for name in _ARRAY_FIELDS}
+        data = result.to_dict(lists=False)
+        arrays = {name: _stored_array(data.pop(name)) for name in _ARRAY_FIELDS}
         _atomic_write_npz(obj / "arrays.npz", arrays)
         _atomic_write_text(obj / "meta.json", json.dumps(data))
 
@@ -421,6 +421,23 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _stored_array(array: np.ndarray) -> np.ndarray:
+    """``array`` as the store has always written it.
+
+    Objects were first written through a JSON-list round trip,
+    ``np.asarray(array.tolist())``, which widens numeric dtypes to 64
+    bits and turns any empty array into shape ``(0,)`` float64.  Merges
+    compare stored arrays shape for shape (see
+    :func:`repro.store.sync.merge_stores`), so new objects keep that
+    layout.  Non-empty C-ordered float64 arrays, which is what runs
+    produce apart from empty logs, come through the round trip
+    unchanged, so only the rest pay for it.
+    """
+    if array.size and array.dtype == np.float64 and array.flags.c_contiguous:
+        return array
+    return np.asarray(array.tolist())
 
 
 def _atomic_write_npz(path: Path, arrays: dict) -> None:

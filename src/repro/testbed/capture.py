@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PacketCapture", "TraceRecord"]
+__all__ = ["PacketCapture", "TraceRecord", "binned_bitrate", "window_throughput"]
 
 
 @dataclass(frozen=True)
@@ -93,30 +93,11 @@ class PacketCapture:
 
         This is the paper's "bitrate computed every 0.5 seconds".
         """
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        if t_end <= t_start:
-            raise ValueError("t_end must be after t_start")
-        times, sizes = self.arrays(flow)
-        edges = np.arange(t_start, t_end + bin_width / 2, bin_width)
-        if len(edges) < 2:
-            raise ValueError("window shorter than one bin")
-        if len(times) == 0:
-            centres = (edges[:-1] + edges[1:]) / 2
-            return centres, np.zeros(len(edges) - 1)
-        byte_sums, _ = np.histogram(times, bins=edges, weights=sizes)
-        centres = (edges[:-1] + edges[1:]) / 2
-        return centres, byte_sums * 8.0 / bin_width
+        return binned_bitrate(*self.arrays(flow), t_start, t_end, bin_width)
 
     def throughput_bps(self, flow: str, t_start: float, t_end: float) -> float:
         """Mean bitrate over a window."""
-        if t_end <= t_start:
-            raise ValueError("t_end must be after t_start")
-        times, sizes = self.arrays(flow)
-        if len(times) == 0:
-            return 0.0
-        mask = (times >= t_start) & (times < t_end)
-        return float(sizes[mask].sum()) * 8.0 / (t_end - t_start)
+        return window_throughput(*self.arrays(flow), t_start, t_end)
 
     def to_csv(self, path, flows: list[str] | None = None) -> int:
         """Export the trace as CSV (``time,flow,size``), Wireshark-style.
@@ -137,3 +118,39 @@ class PacketCapture:
             for time, flow, size in rows:
                 handle.write(f"{time:.6f},{flow},{size}\n")
         return len(rows)
+
+
+def binned_bitrate(
+    times: np.ndarray, sizes: np.ndarray,
+    t_start: float, t_end: float, bin_width: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`PacketCapture.bitrate_series` over one flow's arrays.
+
+    Callers that derive several measures from one flow convert its
+    records once with :meth:`PacketCapture.arrays` and pass them here.
+    """
+    if bin_width <= 0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if t_end <= t_start:
+        raise ValueError("t_end must be after t_start")
+    edges = np.arange(t_start, t_end + bin_width / 2, bin_width)
+    if len(edges) < 2:
+        raise ValueError("window shorter than one bin")
+    if len(times) == 0:
+        centres = (edges[:-1] + edges[1:]) / 2
+        return centres, np.zeros(len(edges) - 1)
+    byte_sums, _ = np.histogram(times, bins=edges, weights=sizes)
+    centres = (edges[:-1] + edges[1:]) / 2
+    return centres, byte_sums * 8.0 / bin_width
+
+
+def window_throughput(
+    times: np.ndarray, sizes: np.ndarray, t_start: float, t_end: float
+) -> float:
+    """:meth:`PacketCapture.throughput_bps` over one flow's arrays."""
+    if t_end <= t_start:
+        raise ValueError("t_end must be after t_start")
+    if len(times) == 0:
+        return 0.0
+    mask = (times >= t_start) & (times < t_end)
+    return float(sizes[mask].sum()) * 8.0 / (t_end - t_start)

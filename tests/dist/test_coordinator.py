@@ -1,5 +1,7 @@
 """Tests for the coordinator: dedupe, sharding, watch convergence."""
 
+import time
+
 import pytest
 
 from repro.dist import Coordinator, WatchTimeout, queue_root
@@ -89,10 +91,18 @@ class FakeClock:
         return self.now
 
 
-class TestWatch:
-    def _coordinator(self, store, drainer=None):
-        import time
+class WallClock:
+    """An epoch-seconds clock that moves only when a test sets it."""
 
+    def __init__(self, now=1_000_000.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+class TestWatch:
+    def _coordinator(self, store, drainer=None, wall=time.time):
         clock = FakeClock(step=0.01)
 
         def sleep(_):
@@ -100,12 +110,9 @@ class TestWatch:
             if drainer is not None:
                 drainer()
 
-        # wall stays real: queue lease expiry compares the injected wall
-        # clock against real file mtimes, so a frozen fake would make
-        # backdated leases look perpetually fresh.
         return Coordinator(
             store, shard_size=1, heartbeat_interval=0.0,
-            clock=clock, wall=time.time, sleep=sleep,
+            clock=clock, wall=wall, sleep=sleep,
         )
 
     def test_watch_converges_and_heartbeats(self, store):
@@ -146,15 +153,12 @@ class TestWatch:
         assert record["cache_hits"] == 1
 
     def test_watch_steals_expired_leases(self, store):
-        import os
-
-        coordinator = self._coordinator(store)
+        wall = WallClock()
+        coordinator = self._coordinator(store, wall=wall)
         report = coordinator.enqueue(configs_for(1))
-        queue = ShardQueue.open(queue_root(store, report.campaign_id))
+        queue = ShardQueue.open(queue_root(store, report.campaign_id), clock=wall)
         shard = queue.claim("dead-worker")
-        path = queue.claimed_dir / f"{shard.id}.json"
-        stat = path.stat()
-        os.utime(path, (stat.st_atime - 300, stat.st_mtime - 300))
+        wall.now = queue.lease(shard.id)["deadline"] + 1.0
 
         stolen = {}
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -222,3 +224,36 @@ def test_repr_reports_live_pending():
     sim.schedule(1.0, lambda: None).cancel()
     sim.schedule(1.0, lambda: None)
     assert "pending=1" in repr(sim)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_callers_gc_state(enabled):
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sim.run()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # suspended during dispatch
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_gc_state_when_a_callback_raises(enabled):
+    sim = Simulator()
+
+    def boom():
+        raise ValueError("callback failed")
+
+    sim.schedule(1.0, boom)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(ValueError, match="callback failed"):
+            sim.run(until=2.0)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

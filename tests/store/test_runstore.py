@@ -1,5 +1,6 @@
 """Unit tests for the content-addressed run store (synthetic results)."""
 
+import io
 import json
 
 import numpy as np
@@ -73,6 +74,34 @@ class TestPutGet:
         assert loaded.profile == result.profile
         assert store.contains_fp(fp)
         assert config in store
+
+    def test_empty_target_log_stores_as_before(self, store):
+        # Objects were first written through a JSON-list round trip,
+        # which stores an empty (0, 2) array as shape (0,).  Merges
+        # compare shapes, so new writes must keep that layout.
+        config = make_config()
+        result = make_result(config)
+        result.target_log = np.empty((0, 2))
+        _, npz_raw = store.object_bytes(store.put(config, result))
+        with np.load(io.BytesIO(npz_raw)) as npz:
+            assert npz["target_log"].shape == (0,)
+            assert npz["target_log"].dtype == np.float64
+            assert npz["rtt_samples"].shape == (40, 2)
+            for name in ("times", "game_bps", "iperf_bps", "rtt_samples"):
+                assert npz[name].dtype == np.float64
+                assert np.array_equal(npz[name], getattr(result, name))
+        loaded = store.get(config)
+        assert loaded.target_log.shape == (0, 2)
+
+    def test_meta_matches_the_list_serialisation(self, store):
+        config = make_config()
+        result = make_result(config)
+        meta_raw, _ = store.object_bytes(store.put(config, result))
+        expected = result.to_dict()
+        for name in ("times", "game_bps", "iperf_bps", "rtt_samples",
+                     "target_log"):
+            del expected[name]
+        assert meta_raw.decode() == json.dumps(expected)
 
     def test_miss_returns_none(self, store):
         assert store.get(make_config()) is None
