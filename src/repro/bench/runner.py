@@ -13,11 +13,14 @@ internals, and the allocator's arenas.
 
 Peak RSS comes from ``getrusage(RUSAGE_SELF).ru_maxrss``; it is the
 process high-water mark, so within one ``bench run --all`` invocation
-later scenarios inherit the peak of earlier ones.  It is recorded to
-catch order-of-magnitude memory regressions, not byte-level ones.
-``ru_maxrss`` reports KiB on Linux but **bytes** on macOS; the runner
-normalises to KiB and records the unit in the report's env block so a
-baseline's figure is interpretable regardless of where it was taken.
+later scenarios inherit the peak of earlier ones.  The repeats of a
+testbed scenario do not stack dead testbeds: each new
+``GameStreamingTestbed`` frees the simulations of dropped ones before
+it builds its own.  Peak RSS is recorded to catch order-of-magnitude
+memory regressions, not byte-level ones.  ``ru_maxrss`` reports KiB on
+Linux but **bytes** on macOS; the runner normalises to KiB and records
+the unit in the report's env block so a baseline's figure is
+interpretable regardless of where it was taken.
 """
 
 from __future__ import annotations

@@ -382,10 +382,13 @@ class Simulator:
         points back at its stage), so a finished simulation is only
         freed by a collection.  Re-enabling the collector does not
         trigger one: by the time the objects are dead they have usually
-        been promoted to the oldest generation.  Callers that run many
-        simulations reclaim each one explicitly, as
-        :func:`repro.experiments.runner.run_single` does; inside its
-        run-scoped suspension this one nests as a no-op.
+        been promoted to the oldest generation.  The testbed reclaims
+        them instead: each new
+        :class:`~repro.testbed.topology.GameStreamingTestbed` first frees
+        the simulations of dropped ones, and
+        :func:`repro.experiments.runner.run_single` frees its own run
+        when it ends; inside its run-scoped suspension this one nests as
+        a no-op.
         """
         if until is not None and until < self.now:
             raise SimulationError(

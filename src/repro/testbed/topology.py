@@ -15,6 +15,9 @@ direction.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 
 from repro.obs.metrics import MetricsRecorder
@@ -43,6 +46,40 @@ QUEUE_DISCIPLINES = ("droptail", "codel", "fq_codel")
 PING_FLOW = "ping"
 #: Flow id used for the competing TCP download.
 IPERF_FLOW = "iperf"
+
+#: Weak references to the simulators of testbeds whose handles died;
+#: process-wide, like the collector that frees them.
+_dropped: list[weakref.ref] = []
+
+
+def _reclaim_dropped() -> None:
+    """Free the simulations of dropped testbeds, if any are still alive.
+
+    A finished testbed is one large reference cycle, usually promoted
+    to the oldest generation by then, so only a full collection frees
+    it.  Run one when the collector is on and a dropped testbed's
+    simulator is still in memory; forget the records either way, so a
+    simulation the caller still holds through a component costs at
+    most one pass.
+    """
+    if gc.isenabled() and any(ref() is not None for ref in _dropped):
+        gc.collect()
+    _dropped.clear()
+
+
+def _sample_occupancy(sim, tracer, queue, interval: float) -> None:
+    """Periodic ``queue.occupancy`` tracepoint (bottleneck state).
+
+    A free function over the components, not a testbed method, so the
+    re-scheduled event holds no reference to the testbed handle.
+    """
+    if tracer.enabled:
+        tracer.emit(
+            "queue.occupancy", sim.now,
+            q=queue.bytes, pkts=len(queue),
+            limit=queue.limit_bytes, drops=queue.drops,
+        )
+    sim.schedule(interval, _sample_occupancy, sim, tracer, queue, interval)
 
 
 class _ClientIngress:
@@ -138,6 +175,7 @@ class GameStreamingTestbed:
             raise ValueError(
                 f"unknown qdisc {qdisc!r}; options: {QUEUE_DISCIPLINES}"
             )
+        _reclaim_dropped()
         self.profile = get_system(system) if isinstance(system, str) else system
         self.router = router
         self.seed = seed
@@ -239,30 +277,31 @@ class GameStreamingTestbed:
 
         if self.metrics is not None:
             self._register_metrics()
+        # Record the drop, do not collect on the spot: when the handle
+        # dies the caller may still hold components of this graph (a
+        # capture, a prober), so the next testbed collects instead.
+        weakref.finalize(
+            self, _dropped.append, weakref.ref(self.sim)
+        ).atexit = False
 
     # ------------------------------------------------------------------
-    def _sample_occupancy(self) -> None:
-        """Periodic ``queue.occupancy`` tracepoint (bottleneck state)."""
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "queue.occupancy", self.sim.now,
-                q=self.queue.bytes, pkts=len(self.queue),
-                limit=self.queue.limit_bytes, drops=self.queue.drops,
-            )
-        self.sim.schedule(self.sample_interval, self._sample_occupancy)
-
     def _register_metrics(self) -> None:
+        # The probes close over components, never over ``self``: the
+        # recorder lives inside the simulation's reference cycle, and
+        # the handle must stay outside it to die when it is dropped.
         m = self.metrics
-        m.bind(self.sim)
-        queue = self.queue
+        sim, queue, bottleneck, server = (
+            self.sim, self.queue, self.bottleneck, self.server
+        )
+        m.bind(sim)
         m.gauge("queue.bytes", lambda: queue.bytes)
         m.gauge("queue.pkts", lambda: len(queue))
         m.counter("queue.drops", lambda: queue.drops)
-        m.counter("link.bytes_sent", lambda: self.bottleneck.bytes_sent)
-        m.counter("sim.events", lambda: self.sim.events_processed)
-        controller = self.server.controller
+        m.counter("link.bytes_sent", lambda: bottleneck.bytes_sent)
+        m.counter("sim.events", lambda: sim.events_processed)
+        controller = server.controller
         m.gauge("gcc.target_bps", lambda: controller.target)
-        m.gauge("server.fps", lambda: self.server.current_fps)
+        m.gauge("server.fps", lambda: server.current_fps)
         for iperf in self.iperfs:
             sender = iperf.sender
             m.gauge(f"{iperf.flow}.cwnd", lambda s=sender: s.cwnd)
@@ -297,7 +336,9 @@ class GameStreamingTestbed:
         self.client.start()
         self.prober.start()
         if self.tracer.enabled:
-            self._sample_occupancy()
+            _sample_occupancy(
+                self.sim, self.tracer, self.queue, self.sample_interval
+            )
         if self.metrics is not None:
             self.metrics.start()
 
